@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint lint-smoke lint-sarif race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-whatif optimize-smoke federate-smoke scenario-smoke bench-report clean
+.PHONY: all build test vet fmt lint lint-smoke lint-sarif race stream-check streamd check ci bench bench-sim bench-smoke bench-query bench-query-smoke bench-whatif perfbench-smoke optimize-smoke federate-smoke scenario-smoke bench-report clean
 
 all: check
 
@@ -102,6 +102,12 @@ bench-query-smoke:
 bench-whatif:
 	$(GO) test -run xxx -bench 'BenchmarkWhatifBatch' -benchmem -count 3 ./internal/whatif | \
 		$(GO) run ./cmd/benchjson -out BENCH_whatif.json -label $(LABEL)
+
+# perfbench-smoke is the CI guard for the repository benchmark (perfbench/):
+# every workload at its tiny size for a couple of seconds, so the harness,
+# its output checks and the layers it drives stay buildable and correct.
+perfbench-smoke:
+	bash perfbench/run.sh --workload all --size tiny --seconds 2
 
 # optimize-smoke is the CI guard for the what-if control plane: a short
 # catalog sweep run twice at different worker counts must produce

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/failures"
 	"repro/internal/sim"
@@ -364,6 +365,10 @@ func (w *NodeDatasetWriter) Observe(snap *sim.Snapshot) {
 	}
 }
 
+// flush writes the buffered day. The rollup companion is folded on a
+// second goroutine while the day table encodes — both only read the row
+// buffers — and written once the day partition is in place. The buffers are
+// truncated for reuse only after both have finished.
 func (w *NodeDatasetWriter) flush() {
 	if w.err != nil || len(w.ts) == 0 {
 		return
@@ -377,20 +382,35 @@ func (w *NodeDatasetWriter) flush() {
 		{Name: "input_power.mean", Floats: w.mean},
 		{Name: "input_power.std", Floats: w.std},
 	}}
-	w.err = w.ds.WriteDay(w.day, tab)
-	if w.err == nil && w.rds != nil {
-		w.err = w.flushRollup()
+	var (
+		roll    *store.Table
+		rollErr error
+		wg      sync.WaitGroup
+	)
+	if w.rds != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			roll, rollErr = w.foldRollup()
+		}()
 	}
-	w.ts, w.node, w.count = nil, nil, nil
-	w.min, w.max, w.mean, w.std = nil, nil, nil, nil
+	w.err = w.ds.WriteDay(w.day, tab)
+	wg.Wait()
+	if w.err == nil && w.rds != nil {
+		if w.err = rollErr; w.err == nil {
+			w.err = w.rds.WriteDayCodec(w.day, roll, store.CodecGorilla)
+		}
+	}
+	w.ts, w.node, w.count = w.ts[:0], w.node[:0], w.count[:0]
+	w.min, w.max, w.mean, w.std = w.min[:0], w.max[:0], w.mean[:0], w.std[:0]
 }
 
-// flushRollup folds the day's rows — the same rows, in the same order as
-// the day table — into the pre-aggregate companion partition, so a rollup
+// foldRollup folds the day's rows — the same rows, in the same order as the
+// day table — into the pre-aggregate companion partition, so a rollup
 // answered from pre-aggregates is bit-identical to one scanned from the day
 // table. The companion is tiny and cold-read, so it is stored with the
 // Gorilla codec.
-func (w *NodeDatasetWriter) flushRollup() error {
+func (w *NodeDatasetWriter) foldRollup() (*store.Table, error) {
 	red := source.NewRollupReducer(w.floor, nodeRollupCols)
 	vals := make([]float64, len(nodeRollupCols))
 	for i := range w.ts {
@@ -398,15 +418,18 @@ func (w *NodeDatasetWriter) flushRollup() error {
 		vals[1], vals[2] = w.min[i], w.max[i]
 		vals[3], vals[4] = w.mean[i], w.std[i]
 		if err := red.Add(w.ts[i], w.node[i], vals); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return w.rds.WriteDayCodec(w.day, red.Table(), store.CodecGorilla)
+	return red.Table(), nil
 }
 
-// Close flushes the final partition and reports any deferred error.
+// Close flushes the final partition, releases the row buffers and reports
+// any deferred error.
 func (w *NodeDatasetWriter) Close() error {
 	w.flush()
+	w.ts, w.node, w.count = nil, nil, nil
+	w.min, w.max, w.mean, w.std = nil, nil, nil, nil
 	return w.err
 }
 

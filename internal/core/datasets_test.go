@@ -8,6 +8,7 @@ import (
 	"repro/internal/source"
 	"repro/internal/store"
 	"repro/internal/topology"
+	"repro/internal/tsagg"
 )
 
 func simConfigForNodeDataset() sim.Config {
@@ -277,6 +278,99 @@ func TestNodeDatasetWriterRollupCompanion(t *testing.T) {
 			for r := range wc.Floats {
 				if math.Float64bits(gc.Floats[r]) != math.Float64bits(wc.Floats[r]) {
 					t.Fatalf("day %d column %q row %d: %v != %v", day, wc.Name, r, gc.Floats[r], wc.Floats[r])
+				}
+			}
+		}
+	}
+}
+
+// TestNodeDatasetWriterReusesBuffersAcrossDays drives the writer over three
+// days: every day partition and its companion must hold exactly that day's
+// rows (the buffers are truncated for reuse only after the day table and
+// its rollup were both written), the second day must fill the first day's
+// arrays, and Close must release them.
+func TestNodeDatasetWriterReusesBuffersAcrossDays(t *testing.T) {
+	const nodes, step, start = 20, int64(600), int64(1_577_836_800)
+	dir := t.TempDir()
+	w, err := NewNodeDatasetWriter(dir, nodes, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stat := func(tm int64, n int) tsagg.WindowStat {
+		x := float64(tm%86400)/10 + float64(n)*7.5
+		return tsagg.WindowStat{T: tm, Count: 60, Min: x - 3, Max: x + 4, Mean: x, Std: 1.25}
+	}
+	var day0 *int64
+	for tm := start; tm < start+3*86400; tm += step {
+		snap := &sim.Snapshot{T: tm, NodeStat: make([]tsagg.WindowStat, nodes)}
+		for n := range snap.NodeStat {
+			snap.NodeStat[n] = stat(tm, n)
+		}
+		w.Observe(snap)
+		switch {
+		case tm < start+86400:
+			day0 = &w.ts[0] // the day-0 array as it stands at the flush
+		case tm == start+86400:
+			if &w.ts[0] != day0 {
+				t.Error("day 1 did not reuse the day-0 row buffers")
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w.ts != nil || w.std != nil {
+		t.Error("Close kept the row buffers")
+	}
+	tcfg, err := topology.PresetScaled("", nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor, err := topology.New(tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rds, err := store.NewDataset(dir, source.RollupDatasetName(DatasetNodePower))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for day := 0; day < 3; day++ {
+		byNode, err := ReadNodeDataset(dir, day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		red := source.NewRollupReducer(floor, nodeRollupCols)
+		for tm := start + int64(day)*86400; tm < start+int64(day+1)*86400; tm += step {
+			for n := 0; n < nodes; n++ {
+				want := stat(tm, n)
+				got := byNode[n][(tm-start-int64(day)*86400)/step]
+				if got != want {
+					t.Fatalf("day %d node %d t=%d: %+v, want %+v", day, n, tm, got, want)
+				}
+				vals := []float64{float64(want.Count), want.Min, want.Max, want.Mean, want.Std}
+				if err := red.Add(tm, int64(n), vals); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		roll, err := rds.ReadDay(day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := red.Table()
+		for _, wc := range want.Cols {
+			gc := roll.Col(wc.Name)
+			if gc == nil || gc.Len() != wc.Len() {
+				t.Fatalf("day %d: companion column %q missing or short", day, wc.Name)
+			}
+			for r := range wc.Ints {
+				if gc.Ints[r] != wc.Ints[r] {
+					t.Fatalf("day %d companion %q row %d: %d != %d", day, wc.Name, r, gc.Ints[r], wc.Ints[r])
+				}
+			}
+			for r := range wc.Floats {
+				if math.Float64bits(gc.Floats[r]) != math.Float64bits(wc.Floats[r]) {
+					t.Fatalf("day %d companion %q row %d: %v != %v", day, wc.Name, r, gc.Floats[r], wc.Floats[r])
 				}
 			}
 		}

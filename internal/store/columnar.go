@@ -3,15 +3,27 @@
 // dataset files. It stands in for the parquet archive of the paper's
 // pipeline, whose lossless compression squeezed a 460k-metric/s stream to
 // ~1 MB/s and a year of data to 8.5 TB.
+//
+// On disk a table is one gzip stream of concatenated members. The
+// uncompressed stream (header, then every column) is cut at fixed 1 MiB
+// offsets and each span is compressed as an independent member, so the
+// writer deflates the spans on up to GOMAXPROCS goroutines while it keeps
+// encoding. Determinism rule: the cut depends only on byte offsets, so a
+// file's bytes are identical for any worker count, and a table whose
+// stream is under 1 MiB is a single member — byte-identical to what a lone
+// gzip.Writer at the codec's level produces, as every earlier build wrote
+// it. Readers need no layout knowledge: gzip.Reader reads concatenated
+// members as one stream, so single-member partitions written earlier read
+// back unchanged.
 package store
 
 import (
-	"bufio"
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 )
 
 // Column is one named column of a table; at most one of Ints/Floats/Strs is
@@ -114,7 +126,9 @@ const (
 
 // Codec selects the column encoding and compression level. The default
 // (CodecDelta) is what the pipeline uses; the others exist for the
-// compression ablation benchmarks and for interoperability tests.
+// compression ablation benchmarks and for interoperability tests. Every
+// codec shares the block-member layout of the package comment; the level
+// applies to each member.
 type Codec uint8
 
 // Codecs.
@@ -159,26 +173,35 @@ func Write(w io.Writer, t *Table) error {
 	return WriteCodec(w, t, CodecDelta)
 }
 
-// WriteCodec serializes the table with an explicit codec.
+// WriteCodec serializes the table with an explicit codec. The encoded
+// stream is cut into blockSize spans that deflate as independent gzip
+// members on up to GOMAXPROCS goroutines while encoding continues; the
+// bytes written do not depend on the worker count (see blockSize).
 func WriteCodec(w io.Writer, t *Table, codec Codec) error {
+	return writeBlocks(w, t, codec, blockSize, runtime.GOMAXPROCS(0))
+}
+
+// writeBlocks is WriteCodec with an explicit block size and worker count.
+// It returns only after every compression goroutine has finished, on the
+// error paths too.
+func writeBlocks(w io.Writer, t *Table, codec Codec, size, workers int) error {
 	if codec >= numCodecs {
 		return fmt.Errorf("store: unknown codec %d", codec)
 	}
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	zw, err := gzip.NewWriterLevel(w, codec.gzipLevel())
-	if err != nil {
+	bw := newBlockWriter(w, codec, size, workers)
+	if err := encodeTable(bw, t, codec); err != nil {
+		bw.abort(err)
 		return err
 	}
-	bw := bufio.NewWriter(zw)
+	return bw.Close()
+}
+
+// encodeTable writes the uncompressed stream: header, then every column.
+func encodeTable(bw *blockWriter, t *Table, codec Codec) error {
 	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
 		return err
 	}
 	ver := uint64(version)
@@ -188,22 +211,22 @@ func WriteCodec(w io.Writer, t *Table, codec Codec) error {
 			break
 		}
 	}
-	if err := putUvarint(ver); err != nil {
+	if err := bw.putUvarint(ver); err != nil {
 		return err
 	}
 	if err := bw.WriteByte(byte(codec)); err != nil {
 		return err
 	}
-	if err := putUvarint(uint64(len(t.Cols))); err != nil {
+	if err := bw.putUvarint(uint64(len(t.Cols))); err != nil {
 		return err
 	}
-	if err := putUvarint(uint64(t.NumRows())); err != nil {
+	if err := bw.putUvarint(uint64(t.NumRows())); err != nil {
 		return err
 	}
 	var gorillaBuf []byte // reused payload scratch for CodecGorilla columns
 	for i := range t.Cols {
 		c := &t.Cols[i]
-		if err := putUvarint(uint64(len(c.Name))); err != nil {
+		if err := bw.putUvarint(uint64(len(c.Name))); err != nil {
 			return err
 		}
 		if _, err := bw.WriteString(c.Name); err != nil {
@@ -236,7 +259,7 @@ func WriteCodec(w io.Writer, t *Table, codec Codec) error {
 					return err
 				}
 			}
-			if err := putUvarint(uint64(len(gorillaBuf))); err != nil {
+			if err := bw.putUvarint(uint64(len(gorillaBuf))); err != nil {
 				return err
 			}
 			if _, err := bw.Write(gorillaBuf); err != nil {
@@ -255,7 +278,7 @@ func WriteCodec(w io.Writer, t *Table, codec Codec) error {
 				if len(v) > maxStrLen {
 					return fmt.Errorf("store: column %q string value too long (%d bytes)", c.Name, len(v))
 				}
-				if err := putUvarint(uint64(len(v))); err != nil {
+				if err := bw.putUvarint(uint64(len(v))); err != nil {
 					return err
 				}
 				if _, err := bw.WriteString(v); err != nil {
@@ -271,7 +294,7 @@ func WriteCodec(w io.Writer, t *Table, codec Codec) error {
 				for _, v := range c.Ints {
 					d := v - prev
 					prev = v
-					if err := putUvarint(zigzag(d)); err != nil {
+					if err := bw.putUvarint(zigzag(d)); err != nil {
 						return err
 					}
 				}
@@ -292,7 +315,7 @@ func WriteCodec(w io.Writer, t *Table, codec Codec) error {
 				prev := uint64(0)
 				for _, v := range c.Floats {
 					bits := math.Float64bits(v)
-					if err := putUvarint(bits ^ prev); err != nil {
+					if err := bw.putUvarint(bits ^ prev); err != nil {
 						return err
 					}
 					prev = bits
@@ -308,10 +331,7 @@ func WriteCodec(w io.Writer, t *Table, codec Codec) error {
 			}
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	return zw.Close()
+	return nil
 }
 
 // Read deserializes a table written by Write. It is ReadColumns with every

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
 	"testing"
 )
 
@@ -30,7 +32,7 @@ func fuzzSeedTable() *Table {
 // metadata scan — and requires malformed input to come back as errors, never
 // panics or runaway allocations. The seed corpus is a genuinely encoded day
 // under every codec, plus truncated and bit-flipped variants so the fuzzer
-// starts past the gzip and magic-number gates.
+// starts past the gzip and magic-number gates, plus a multi-member stream.
 func FuzzReadDayColumns(f *testing.F) {
 	tab := fuzzSeedTable()
 	for codec := Codec(0); codec < numCodecs; codec++ {
@@ -45,6 +47,17 @@ func FuzzReadDayColumns(f *testing.F) {
 		flipped[len(flipped)/3] ^= 0xff
 		f.Add(flipped)
 	}
+	// A multi-member stream (the block-parallel layout at a small block
+	// size) and the same stream cut at its first member boundary.
+	var multi bytes.Buffer
+	if err := writeBlocks(&multi, tab, CodecDelta, 512, 2); err != nil {
+		f.Fatal(err)
+	}
+	enc := multi.Bytes()
+	f.Add(append([]byte(nil), enc...))
+	if first := firstMemberEnd(enc); first > 0 {
+		f.Add(append([]byte(nil), enc[:first]...))
+	}
 	f.Add([]byte(magic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -57,4 +70,19 @@ func FuzzReadDayColumns(f *testing.F) {
 		_, _ = ReadColumns(bytes.NewReader(data), []string{"timestamp"})
 		_, _ = readDayMeta(bytes.NewReader(data), 0, []string{"timestamp"})
 	})
+}
+
+// firstMemberEnd returns the byte length of the first gzip member in data
+// (0 if it does not parse).
+func firstMemberEnd(data []byte) int {
+	br := bytes.NewReader(data)
+	zr, err := gzip.NewReader(br)
+	if err != nil {
+		return 0
+	}
+	zr.Multistream(false)
+	if _, err := io.Copy(io.Discard, zr); err != nil {
+		return 0
+	}
+	return len(data) - br.Len()
 }

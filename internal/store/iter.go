@@ -141,6 +141,13 @@ func iterColumns(r io.Reader, axes []string, value string, sc *IterScratch, fn f
 			return 0, err
 		}
 	}
+	if sr.read == sr.nCols {
+		// Every column was consumed: confirm the stream ends here, which
+		// also verifies the final gzip member's checksum.
+		if err := sr.end(); err != nil {
+			return 0, err
+		}
+	}
 	for k, name := range axes {
 		if !sc.seen[k] {
 			return 0, fmt.Errorf("store: missing axis column %q", name)

@@ -102,13 +102,16 @@ func (r *Reader) NumRows() int { return r.nRows }
 func (r *Reader) Codec() Codec { return r.codec }
 
 // Next announces the next column's name and type. It returns io.EOF after
-// the last column. The caller must consume the column with Column or Skip
-// before calling Next again.
+// the last column, once the stream is confirmed to end there. The caller
+// must consume the column with Column or Skip before calling Next again.
 func (r *Reader) Next() (ColumnInfo, error) {
 	if r.pending {
 		return ColumnInfo{}, fmt.Errorf("store: column %q not consumed", r.cur.Name)
 	}
 	if r.read >= r.nCols {
+		if err := r.end(); err != nil {
+			return ColumnInfo{}, err
+		}
 		return ColumnInfo{}, io.EOF
 	}
 	nameLen, err := binary.ReadUvarint(r.br)
@@ -212,6 +215,20 @@ func (r *Reader) Skip() error {
 	r.pending = false
 	r.read++
 	return nil
+}
+
+// end confirms the stream holds nothing after the last column. Reading to
+// the end is also what makes gzip verify the final member's checksum and
+// length: without it, a file cut inside its last trailer decodes as whole.
+func (r *Reader) end() error {
+	_, err := r.br.ReadByte()
+	switch err {
+	case io.EOF:
+		return nil
+	case nil:
+		return fmt.Errorf("store: trailing data after %d columns", r.nCols)
+	}
+	return fmt.Errorf("store: end of table: %w", err)
 }
 
 // maxPreallocRows bounds the rows allocated up front when decoding a

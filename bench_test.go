@@ -641,3 +641,62 @@ func BenchmarkQueryRangeCached(b *testing.B) {
 		}
 	}
 }
+
+var (
+	archiveBenchOnce sync.Once
+	archiveBenchDir  string
+	archiveBenchErr  error
+)
+
+// archiveBenchArchive writes one shared archive of a 256-node × 12 h run
+// (the paper-pipeline input size): cluster, job and failure datasets.
+func archiveBenchArchive(b *testing.B) string {
+	b.Helper()
+	archiveBenchOnce.Do(func() {
+		var d *RunData
+		if d, _, archiveBenchErr = Simulate(ScaledConfig(256, 12*time.Hour)); archiveBenchErr != nil {
+			return
+		}
+		if archiveBenchDir, archiveBenchErr = os.MkdirTemp("", "archivebench"); archiveBenchErr != nil {
+			return
+		}
+		archiveBenchErr = WriteDatasets(archiveBenchDir, d)
+	})
+	if archiveBenchErr != nil {
+		b.Fatal(archiveBenchErr)
+	}
+	return archiveBenchDir
+}
+
+// BenchmarkArchiveAnalyses measures the nine archive-backed analyses over a
+// re-opened archive, cold: every iteration opens the archive with a fresh
+// decoded-table cache, as a reproduction pass does.
+func BenchmarkArchiveAnalyses(b *testing.B) {
+	dir := archiveBenchArchive(b)
+	analyses := []func(source.RunSource) error{
+		func(s source.RunSource) error { _, err := core.EdgesFromSource(s); return err },
+		func(s source.RunSource) error { _, err := core.SwingsFromSource(s); return err },
+		func(s source.RunSource) error { _, err := core.ThermalBandsFromSource(s); return err },
+		func(s source.RunSource) error { _, err := core.EarlyWarningFromSource(s, 3600); return err },
+		func(s source.RunSource) error { _, err := core.OvercoolingFromSource(s); return err },
+		func(s source.RunSource) error { _, err := core.ValidationFromSource(s); return err },
+		func(s source.RunSource) error { _, err := core.FailureCompositionFromSource(s); return err },
+		func(s source.RunSource) error { _, err := core.FailureCorrelationFromSource(s, 0.05); return err },
+		func(s source.RunSource) error { _, err := core.SummaryFromSource(s); return err },
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, err := source.OpenArchive(source.ArchiveConfig{
+			Dir: dir, Cache: store.NewTableCache(256 << 20),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, fn := range analyses {
+			if err := fn(src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

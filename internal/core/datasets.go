@@ -347,11 +347,13 @@ func (w *NodeDatasetWriter) Observe(snap *sim.Snapshot) {
 	if !w.started {
 		w.started = true
 		w.dayEnd = snap.T + 86400
+		w.reserve(snap)
 	}
 	if snap.T >= w.dayEnd {
 		w.flush()
 		w.day++
 		w.dayEnd += 86400
+		w.reserve(snap)
 	}
 	for i := range snap.NodeStat {
 		st := snap.NodeStat[i]
@@ -363,6 +365,25 @@ func (w *NodeDatasetWriter) Observe(snap *sim.Snapshot) {
 		w.mean = append(w.mean, st.Mean)
 		w.std = append(w.std, st.Std)
 	}
+}
+
+// reserve sizes the row buffers on the first window of a day: exactly one
+// row per node per window the run has left in the day, so the day fills
+// without regrowing. The buffers only ever grow — a shorter later day reuses
+// them. Snapshots that do not carry the run's span (hand-built ones) leave
+// the buffers to grow by append.
+func (w *NodeDatasetWriter) reserve(snap *sim.Snapshot) {
+	if snap.StepSec <= 0 || snap.EndTime <= snap.T {
+		return
+	}
+	end := min(w.dayEnd, snap.EndTime)
+	rows := len(snap.NodeStat) * int((end-snap.T+snap.StepSec-1)/snap.StepSec)
+	if cap(w.ts) >= rows {
+		return
+	}
+	w.ts, w.node, w.count = make([]int64, 0, rows), make([]int64, 0, rows), make([]int64, 0, rows)
+	w.min, w.max = make([]float64, 0, rows), make([]float64, 0, rows)
+	w.mean, w.std = make([]float64, 0, rows), make([]float64, 0, rows)
 }
 
 // flush writes the buffered day. The rollup companion is folded on a

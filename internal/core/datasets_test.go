@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/sim"
@@ -373,6 +377,102 @@ func TestNodeDatasetWriterReusesBuffersAcrossDays(t *testing.T) {
 					t.Fatalf("day %d companion %q row %d: %v != %v", day, wc.Name, r, gc.Floats[r], wc.Floats[r])
 				}
 			}
+		}
+	}
+}
+
+// TestNodeDatasetWriterPresizesDays drives two writers from one simulated
+// run: one sees the run's span on every snapshot and pre-sizes each day's
+// row buffers, the other sees the span fields zeroed and grows by append.
+// The writer cuts days 24 h from the first window, so the short run is one
+// partial day and the long run is two full days and a partial last one.
+// Within a day the pre-sized buffers never regrow — the first day's are
+// exactly one row per node per window — and both writers' partitions and
+// rollup companions are byte-identical.
+func TestNodeDatasetWriterPresizesDays(t *testing.T) {
+	for _, span := range []int64{10 * 3600, 60 * 3600} {
+		cfg := sim.Config{
+			Seed: 5, Nodes: 12, StartTime: 1_577_836_800,
+			DurationSec: span, StepSec: 600, SamplesPerWindow: 1,
+			Jobs: 10, FailureRateScale: 1,
+		}
+		s, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sized, grown := t.TempDir(), t.TempDir()
+		ws, err := NewNodeDatasetWriter(sized, cfg.Nodes, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg, err := NewNodeDatasetWriter(grown, cfg.Nodes, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dayCap, day := -1, -1
+		if _, err := s.Run(sim.ObserverFunc(func(snap *sim.Snapshot) {
+			ws.Observe(snap)
+			if ws.day != day {
+				day, dayCap = ws.day, cap(ws.ts)
+				if want := cfg.Nodes * int(min(86400, span)/cfg.StepSec); day == 0 && dayCap != want {
+					t.Errorf("span %d: day 0 buffers hold %d rows, want exactly %d", span, dayCap, want)
+				}
+			}
+			for _, c := range []int{cap(ws.node), cap(ws.count), cap(ws.min), cap(ws.max), cap(ws.mean), cap(ws.std), cap(ws.ts)} {
+				if c != dayCap {
+					t.Fatalf("span %d day %d t=%d: buffer capacity %d, want %d all day",
+						span, day, snap.T, c, dayCap)
+				}
+			}
+			zeroed := *snap
+			zeroed.StepSec, zeroed.EndTime = 0, 0
+			wg.Observe(&zeroed)
+		})); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := wg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if want := int((span + 86399) / 86400); day+1 != want {
+			t.Fatalf("span %d: writer saw %d days, want %d", span, day+1, want)
+		}
+		sameArchiveFiles(t, sized, grown)
+	}
+}
+
+// sameArchiveFiles fails unless directories a and b hold the same file
+// names with byte-identical contents.
+func sameArchiveFiles(t *testing.T, a, b string) {
+	t.Helper()
+	list := func(dir string) []string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	na, nb := list(a), list(b)
+	if len(na) == 0 || fmt.Sprint(na) != fmt.Sprint(nb) {
+		t.Fatalf("archive files differ: %v vs %v", na, nb)
+	}
+	for _, name := range na {
+		x, err := os.ReadFile(filepath.Join(a, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := os.ReadFile(filepath.Join(b, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(x, y) {
+			t.Fatalf("%s differs between the pre-sized and the growing writer", name)
 		}
 	}
 }

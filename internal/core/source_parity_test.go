@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/source"
+	"repro/internal/store"
 )
 
 // TestSourcePlaneParity is the golden guarantee of the RunSource layer: a
@@ -185,8 +187,10 @@ func TestSourcePlaneParity(t *testing.T) {
 	}
 }
 
-// TestArchiveSourcePruning verifies that a ranged read prunes partitions:
-// asking for a window inside day 0 must not decode day 1.
+// TestArchiveSourcePruning verifies that a ranged read prunes partitions —
+// asking for a window inside day 0 must not decode day 1 — and pins the
+// cluster plane's admission rule: the first in-range read decodes the
+// surviving day once, whole, and admits it; the repeat read is a cache hit.
 func TestArchiveSourcePruning(t *testing.T) {
 	cfg := sim.Config{
 		Seed: 3, Nodes: 12, StartTime: 1_577_836_800,
@@ -201,10 +205,12 @@ func TestArchiveSourcePruning(t *testing.T) {
 	if err := WriteDatasets(dir, d); err != nil {
 		t.Fatal(err)
 	}
-	arc, err := source.OpenArchive(source.ArchiveConfig{Dir: dir})
+	cache := store.NewTableCache(256 << 20)
+	arc, err := source.OpenArchive(source.ArchiveConfig{Dir: dir, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := cache.Counters()
 	t0 := cfg.StartTime + 3600
 	s, err := arc.SeriesRange(source.SeriesClusterPower, t0, t0+3600)
 	if err != nil {
@@ -224,17 +230,25 @@ func TestArchiveSourcePruning(t *testing.T) {
 	if want := int(3600 / cfg.StepSec); inRange != want {
 		t.Fatalf("ranged read returned %d values, want %d", inRange, want)
 	}
-	// First touch streams through the column iterator: nothing admitted.
-	entries, _ := arc.CacheStats()
-	if entries != 0 {
-		t.Fatalf("cold pruned read cached %d partitions, want 0", entries)
+	// Every decode goes through one cache lookup, so one miss means the
+	// pruned day was never decoded; the surviving day is admitted at first
+	// touch as exactly one whole-partition entry.
+	cold := cache.Counters()
+	if misses := cold.Misses - before.Misses; misses != 1 {
+		t.Fatalf("cold pruned read looked up %d partitions, want 1", misses)
 	}
-	// The surviving day is now hot: the same read materializes and admits
-	// exactly the one (timestamp, sum_inp) pair — pruned days stay out —
-	// and returns bit-identical values.
+	if entries, _ := arc.CacheStats(); entries != 1 {
+		t.Fatalf("cold pruned read cached %d partitions, want 1", entries)
+	}
+	// The repeat read is served from that entry, bit-identically.
 	s2, err := arc.SeriesRange(source.SeriesClusterPower, t0, t0+3600)
 	if err != nil {
 		t.Fatal(err)
+	}
+	hot := cache.Counters()
+	if hot.Misses != cold.Misses || hot.Hits-cold.Hits != 1 {
+		t.Fatalf("repeat read: %d misses, %d hits; want 0 and 1",
+			hot.Misses-cold.Misses, hot.Hits-cold.Hits)
 	}
 	if len(s2.Vals) != len(s.Vals) {
 		t.Fatalf("hot read returned %d values, want %d", len(s2.Vals), len(s.Vals))
@@ -244,7 +258,164 @@ func TestArchiveSourcePruning(t *testing.T) {
 			t.Fatalf("hot read diverged at slot %d: %v != %v", i, v, s.Vals[i])
 		}
 	}
-	if entries, _ = arc.CacheStats(); entries != 1 {
-		t.Fatalf("hot pruned read cached %d partitions, want 1", entries)
+	if _, ok := cache.Get(store.CacheKey(source.DatasetClusterPower, 0, nil)); !ok {
+		t.Fatal("surviving day not cached under its whole-partition key")
+	}
+	if _, ok := cache.Get(store.CacheKey(source.DatasetClusterPower, 1, nil)); ok {
+		t.Fatal("pruned day was admitted")
+	}
+}
+
+// decodeOnceArchive archives a run spanning three daily partitions, with
+// failures for the failure analyses, and returns its directory.
+func decodeOnceArchive(t *testing.T) string {
+	t.Helper()
+	cfg := sim.Config{
+		Seed: 11, Nodes: 12, StartTime: 1_577_836_800,
+		DurationSec: 60 * 3600, StepSec: 60, SamplesPerWindow: 1,
+		Jobs: 20, FailureRateScale: 2000, FailureCheckSec: 600,
+	}
+	d, _, err := CollectRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := WriteDatasets(dir, d); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestArchiveAnalysesDecodeOnce pins the cluster plane's read cost: the
+// nine analyses over a re-opened archive decode each cluster partition
+// exactly once, however many series they ask for.
+func TestArchiveAnalysesDecodeOnce(t *testing.T) {
+	dir := decodeOnceArchive(t)
+	ds, err := store.NewDataset(dir, source.DatasetClusterPower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	days, err := ds.Days()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(days) < 3 {
+		t.Fatalf("archive has %d cluster partitions, want >= 3", len(days))
+	}
+	cache := store.NewTableCache(256 << 20)
+	arc, err := source.OpenArchive(source.ArchiveConfig{Dir: dir, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm the failure log first so every miss below is a cluster decode.
+	if _, err := arc.Failures(); err != nil {
+		t.Fatal(err)
+	}
+	before := cache.Counters()
+	analyses := []func() error{
+		func() error { _, err := EdgesFromSource(arc); return err },
+		func() error { _, err := SwingsFromSource(arc); return err },
+		func() error { _, err := ThermalBandsFromSource(arc); return err },
+		func() error { _, err := EarlyWarningFromSource(arc, 3600); return err },
+		func() error { _, err := OvercoolingFromSource(arc); return err },
+		func() error { _, err := ValidationFromSource(arc); return err },
+		func() error { _, err := FailureCompositionFromSource(arc); return err },
+		func() error { _, err := FailureCorrelationFromSource(arc, 0.05); return err },
+		func() error { _, err := SummaryFromSource(arc); return err },
+	}
+	for i, fn := range analyses {
+		if err := fn(); err != nil {
+			t.Fatalf("analysis %d: %v", i, err)
+		}
+	}
+	after := cache.Counters()
+	if misses := after.Misses - before.Misses; misses != int64(len(days)) {
+		t.Fatalf("nine analyses missed the cache %d times, want one per cluster partition (%d)",
+			misses, len(days))
+	}
+	if after.Hits == before.Hits {
+		t.Fatal("nine analyses never hit the cache")
+	}
+}
+
+// TestArchiveSeriesConcurrentColdReads races Series and MeterSeries calls on
+// a cold source against each other: every series must come back
+// bit-identical to a sequential read (run under -race).
+func TestArchiveSeriesConcurrentColdReads(t *testing.T) {
+	dir := decodeOnceArchive(t)
+	open := func() *source.ArchiveSource {
+		arc, err := source.OpenArchive(source.ArchiveConfig{Dir: dir, Cache: store.NewTableCache(256 << 20)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return arc
+	}
+	seq := open()
+	names, err := seq.SeriesNames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]float64{}
+	for _, name := range names {
+		s, err := seq.Series(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = s.Vals
+	}
+	wantMeters, wantSums, err := seq.MeterSeries()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	arc := open()
+	const rounds = 2
+	errs := make(chan error, rounds*(len(names)+1))
+	var wg sync.WaitGroup
+	for r := 0; r < rounds; r++ {
+		for _, name := range names {
+			wg.Add(1)
+			go func(name string) {
+				defer wg.Done()
+				s, err := arc.Series(name)
+				if err == nil && !same(s.Vals, want[name]) {
+					err = fmt.Errorf("series %q diverged from the sequential read", name)
+				}
+				errs <- err
+			}(name)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			meters, sums, err := arc.MeterSeries()
+			if err == nil && (len(meters) != len(wantMeters) || len(sums) != len(wantSums)) {
+				err = fmt.Errorf("meter series: %d/%d pairs, want %d/%d",
+					len(meters), len(sums), len(wantMeters), len(wantSums))
+			}
+			for m := 0; err == nil && m < len(meters); m++ {
+				if !same(meters[m].Vals, wantMeters[m].Vals) || !same(sums[m].Vals, wantSums[m].Vals) {
+					err = fmt.Errorf("meter pair %d diverged from the sequential read", m)
+				}
+			}
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -248,6 +248,13 @@ func failureScale(nodes int, spanSec int64) float64 {
 type Snapshot struct {
 	T int64 // window start
 
+	// The run's span, constant for the whole run and set once by Run: the
+	// window length and the run's end time (no window starts at or after
+	// it). Observers may size buffers from them; both are zero in
+	// hand-built snapshots, which such observers must still accept.
+	StepSec int64
+	EndTime int64
+
 	// NodeStat is the window statistic of each node's *sensor-read* input
 	// power (the biased BMC reading the paper's analyses consume).
 	NodeStat []tsagg.WindowStat
@@ -528,7 +535,10 @@ func (rs *runState) removeActive(idx int) {
 func (s *Sim) Run(obs ...Observer) (*Result, error) {
 	cfg := s.cfg
 	n := cfg.Nodes
+	endTime := cfg.StartTime + cfg.DurationSec
 	snap := &Snapshot{
+		StepSec:      cfg.StepSec,
+		EndTime:      endTime,
 		NodeStat:     make([]tsagg.WindowStat, n),
 		TruePower:    make([]float64, n),
 		AllocIdx:     make([]int, n),
@@ -556,7 +566,6 @@ func (s *Sim) Run(obs ...Observer) (*Result, error) {
 	}
 	nextStart, nextEnd := 0, 0
 	result := &Result{Allocations: s.allocs, Skipped: s.skipped, Utilization: s.util}
-	endTime := cfg.StartTime + cfg.DurationSec
 	sub := cfg.SamplesPerWindow
 
 	nBlocks := (n + rollupBlockNodes - 1) / rollupBlockNodes

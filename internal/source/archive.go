@@ -72,10 +72,11 @@ type ArchiveConfig struct {
 }
 
 // ArchiveSource is the archived plane: a RunSource over a store-backed
-// archive directory. Reads follow the shared hot path — prune partitions by
-// per-day row-range metadata, stream only the requested columns, keep
-// decoded tables in the (possibly shared) LRU cache. Safe for concurrent
-// use.
+// archive directory. Reads prune partitions by per-day row-range metadata
+// and keep decoded tables in the (possibly shared) LRU cache: a cluster
+// partition is decoded once, whole, and serves every series of its day; job,
+// failure and node-data reads load only the columns they need. Safe for
+// concurrent use.
 type ArchiveSource struct {
 	cfg   ArchiveConfig
 	cache *store.TableCache
@@ -249,12 +250,12 @@ func (a *ArchiveSource) Series(name string) (*tsagg.Series, error) {
 }
 
 // SeriesRange reads the named series over [t0, t1): partitions whose time
-// span misses the range are pruned via their metadata; survivors stream
-// only the timestamp column and the requested column. When the partitions'
-// grid-index spans are provably disjoint (the normal daily layout), each day
-// fills its own slots of one preallocated grid in parallel, cold partitions
-// streaming through the column iterator without materializing a day table;
-// otherwise the read falls back to the materializing sequential fill. The
+// span misses the range are pruned via their metadata; each survivor is
+// decoded once, whole, through the cache (see fillDay), so every later
+// series read of that day is a cache hit. When the partitions' grid-index
+// spans are provably disjoint (the normal daily layout), each day fills its
+// own slots of one preallocated grid in parallel; otherwise the read falls
+// back to a sequential fill in day order over the same cached tables. The
 // returned series always starts on the run's grid origin.
 func (a *ArchiveSource) SeriesRange(name string, t0, t1 int64) (*tsagg.Series, error) {
 	if !a.hasFloatColumn(name) {
@@ -273,9 +274,8 @@ func (a *ArchiveSource) SeriesRange(name string, t0, t1 int64) (*tsagg.Series, e
 		vals := tsagg.NewSeries(s.Start, s.Step, bound+1).Vals
 		fills := parallel.ProcessChunks(len(days), a.cfg.Workers, func(c parallel.Chunk) seriesFill {
 			out := seriesFill{maxIdx: -1}
-			var sc store.IterScratch
 			for _, day := range days[c.Start:c.End] {
-				hi, err := a.fillDay(day, name, t0, t1, s.Start, s.Step, vals, &sc)
+				hi, err := a.fillDay(day, name, t0, t1, s.Start, s.Step, vals)
 				if err != nil {
 					out.err = err
 					return out
@@ -301,14 +301,11 @@ func (a *ArchiveSource) SeriesRange(name string, t0, t1 int64) (*tsagg.Series, e
 		return s, nil
 	}
 	// Fallback: a partition has no time metadata, or two partitions' spans
-	// overlap on the grid (day order decides the winner). Materialize each
-	// day through the cache and fill sequentially, as before.
-	cols := []string{"timestamp", name}
+	// overlap on the grid (day order decides the winner). Decode the days in
+	// parallel through the same whole-partition cache entries, then fill
+	// sequentially.
 	tabs, err := parallel.MapErr(len(scanDays), a.cfg.Workers,
-		func(i int) (*store.Table, error) {
-			tab, _, err := a.cluster.ReadDayColumnsCached(a.cache, scanDays[i], cols)
-			return tab, err
-		})
+		func(i int) (*store.Table, error) { return a.dayTable(scanDays[i]) })
 	if err != nil {
 		return nil, err
 	}
@@ -393,62 +390,34 @@ func (a *ArchiveSource) planGridFill(scanDays []int, t0, t1 int64) ([]int, int, 
 }
 
 // fillDay writes one partition's in-range rows into their grid slots of
-// vals, returning the highest index written (-1: none). Cached tables and
-// hot partitions fill from the materialized table; first-touch partitions
-// stream through the column iterator, never building a day table, and are
-// not admitted to the cache (same doorkeeper policy as the query engine).
-func (a *ArchiveSource) fillDay(day int, name string, t0, t1, start, step int64, vals []float64, sc *store.IterScratch) (int, error) {
-	cols := []string{"timestamp", name}
-	key := store.CacheKey(a.cluster.Name, day, cols)
-	if tab, ok := a.cache.Get(key); ok {
-		return fillGrid(tab, name, t0, t1, start, step, vals), nil
-	}
-	if a.cache.Touch(key) >= 2 {
-		tab, err := a.cluster.ReadDayColumns(day, cols)
-		if err != nil {
-			return -1, err
-		}
-		a.cache.Put(key, tab)
-		return fillGrid(tab, name, t0, t1, start, step, vals), nil
-	}
-	// Cold partition. The materialized fill silently skips days whose
-	// timestamp column is missing or non-integer, or whose value column is
-	// missing or integer; mirror that before asking the iterator (which
-	// would report them as errors or widen the ints).
-	dm := a.clusterMeta[day]
-	ts, tsOK := metaColumn(dm, "timestamp")
-	val, valOK := metaColumn(dm, name)
-	if !tsOK || !ts.Int || !valOK || val.Int {
-		return -1, nil
-	}
-	maxIdx := -1
-	_, err := a.cluster.IterDayColumns(day, []string{"timestamp"}, name, sc,
-		func(blockStart int, block []float64) error {
-			times := sc.Axes[0]
-			for j, v := range block {
-				tv := times[blockStart+j]
-				if tv < t0 || tv >= t1 {
-					continue
-				}
-				idx := int((tv - start) / step)
-				if idx < 0 || idx >= len(vals) {
-					continue
-				}
-				vals[idx] = v
-				if idx > maxIdx {
-					maxIdx = idx
-				}
-			}
-			return nil
-		})
+// vals, returning the highest index written (-1: none).
+func (a *ArchiveSource) fillDay(day int, name string, t0, t1, start, step int64, vals []float64) (int, error) {
+	tab, err := a.dayTable(day)
 	if err != nil {
 		return -1, err
 	}
-	return maxIdx, nil
+	return fillGrid(tab, name, t0, t1, start, step, vals), nil
 }
 
-// fillGrid is the materialized-table counterpart of fillDay's streaming
-// callback: identical row filter, index computation and writes.
+// dayTable returns one cluster partition decoded whole — every column —
+// through the cache, admitted at first touch. The cluster plane is one row
+// per window for the whole machine, and a delta-coded column can only be
+// reached by parsing every column before it, so a single-column read costs
+// nearly a whole decode anyway; decoding the day once lets every later
+// Series or MeterSeries call on it, whatever its column, hit the cache. The
+// trade-off: a lone single-series cold read of a long archive holds whole
+// partitions (about 32 columns per day) where a column prefix would do.
+// The doorkeeper admission the query engine applies to its node-data scans
+// does not apply here.
+func (a *ArchiveSource) dayTable(day int) (*store.Table, error) {
+	tab, _, err := a.cluster.ReadDayColumnsCached(a.cache, day, nil)
+	return tab, err
+}
+
+// fillGrid writes a decoded partition's in-range rows of the named column
+// into their grid slots of vals, returning the highest index written (-1:
+// none). Partitions whose timestamp column is missing or non-integer, or
+// whose value column is missing or integer, contribute nothing.
 func fillGrid(tab *store.Table, name string, t0, t1, start, step int64, vals []float64) int {
 	tsCol := tab.Col("timestamp")
 	val := tab.Col(name)
@@ -470,16 +439,6 @@ func fillGrid(tab *store.Table, name string, t0, t1, start, step int64, vals []f
 		}
 	}
 	return maxIdx
-}
-
-// metaColumn finds a column by name in a partition's metadata.
-func metaColumn(dm store.DayMeta, name string) (store.ColumnInfo, bool) {
-	for _, c := range dm.Columns {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return store.ColumnInfo{}, false
 }
 
 // SeriesNames implements RunSource: every float column of the cluster

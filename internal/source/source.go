@@ -8,8 +8,9 @@
 //
 // Two implementations exist: MemorySource (a run's collected series,
 // job records and failure log, held in memory) and ArchiveSource (the
-// store-backed archive, read through partition pruning, column-selective
-// streaming decode, and the shared decoded-table cache). A simulated run
+// store-backed archive, read through partition pruning and the shared
+// decoded-table cache; each cluster-dataset partition is decoded once,
+// whole, and every series of its day is then a cache hit). A simulated run
 // archived and re-opened must answer every accessor bit-identically to its
 // in-memory source — the parity test in internal/core enforces this.
 package source
